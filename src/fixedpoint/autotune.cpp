@@ -152,9 +152,6 @@ void standard_candidates(const FpInstr& in, const ExecPlan::Const& c, IntWidth x
 bool blocked_capable(const FpInstr& in, const ExecPlan::Const& c, IntWidth xw) {
   if (!c.acc_ok32 || c.width != IntWidth::kI8) return false;
   if (xw != IntWidth::kI8) return false;
-  // Per-channel epilogues index chan_shift by the logical channel; the
-  // blocked kernels retire padded NC8HW8 lanes, so keep them off the table.
-  if (!c.chan_shifts.empty()) return false;
   const fpk::KernelSet& ks = fpk::active_kernels();
   if (in.kind == FpInstr::Kind::kConv2dFused) return ks.conv_s8blk_epi != nullptr;
   if (in.kind == FpInstr::Kind::kDepthwiseFused) return ks.depthwise_s8blk_epi != nullptr;
@@ -640,9 +637,12 @@ std::vector<ExplainRow> explain_kernels(const FixedPointProgram& prog) {
       const fpk::Algo planned = i < plan.algos.size() ? plan.algos[i] : fpk::Algo::kAuto;
       row.shape = shape_key(in, plan.consts[i], shapes[static_cast<size_t>(in.inputs[0])],
                             xw, wy);
-      row.algo = fpk::algo_name(
-          detail::resolve_fused_algo(in, plan.consts[i], xw, planned));
+      const fpk::Algo algo = detail::resolve_fused_algo(in, plan.consts[i], xw, planned);
+      row.algo = fpk::algo_name(algo);
       row.tuned = planned != fpk::Algo::kAuto;
+      // The generic fallback accumulates in int64 and always retires scalar.
+      row.epilogue =
+          plan.consts[i].epi_vec32 && algo != fpk::Algo::kGeneric ? "vec32" : "scalar";
     }
     rows.push_back(std::move(row));
   }

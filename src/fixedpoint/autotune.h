@@ -111,6 +111,10 @@ struct ExplainRow {
   std::string shape;  ///< shape-class key (empty for non-tunable kinds)
   std::string algo;   ///< resolved algo name
   bool tuned = false; ///< true when the algo came from a measured selection
+  /// How the fused epilogue retires: "vec32" when the plan proved it
+  /// int32-safe (vector kernels run it in 8 lanes), "scalar" when every lane
+  /// walks the int64 epi_apply, "-" for non-fused rows.
+  std::string epilogue = "-";
 };
 
 /// Per-exec-instruction kernel/algo choices for a finalized program.

@@ -345,6 +345,11 @@ fpk::Epilogue make_epi(const FpInstr& in, const ExecPlan::Const& pc, void* y, In
   e.vec32 = pc.epi_vec32;
   e.bias32 = pc.bias32.empty() ? nullptr : pc.bias32.data();
   e.chan_shift = pc.chan_shifts.empty() ? nullptr : pc.chan_shifts.data();
+  if (!pc.chan_rshift.empty()) {
+    e.chan_rshift = pc.chan_rshift.data();
+    e.chan_lshift = pc.chan_lshift.data();
+    e.chan_halfm1 = pc.chan_halfm1.data();
+  }
   return e;
 }
 

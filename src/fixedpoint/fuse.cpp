@@ -32,11 +32,6 @@ bool is_epi_kind(FpInstr::Kind k) {
          k == FpInstr::Kind::kLeakyRelu;
 }
 
-/// Epilogue length cap. The longest real chain (darknet: requant + bias +
-/// requant + leaky + requant) is 5 steps; 8 leaves headroom without letting
-/// a degenerate graph build unbounded step lists.
-constexpr int kMaxEpiSteps = 8;
-
 struct UseInfo {
   std::vector<int> uses;      ///< reads per register
   std::vector<int> consumer;  ///< sole reading instr, -1 none, -2 many
@@ -100,7 +95,7 @@ FuseStats fuse_program(std::vector<FpInstr>& instrs, int n_registers,
       std::vector<int64_t> bias;
       std::vector<size_t> absorbed;
       int tail = mm.output;
-      while (static_cast<int>(absorbed.size()) < kMaxEpiSteps) {
+      while (static_cast<int>(absorbed.size()) < fpk::kMaxEpiSteps) {
         // The program output must stay where downstream consumers (and the
         // executor's final dequantize) expect it, and an intermediate read
         // more than once cannot vanish into a register-resident epilogue.

@@ -8,6 +8,7 @@
 // A NEON set would slot in the same way behind fpk::KernelSet; this repo's
 // CI targets x86, so only the AVX2 instance is provided.
 #include <algorithm>
+#include <type_traits>
 
 #include "fixedpoint/kernels/kernels.h"
 #include "runtime/parallel.h"
@@ -145,24 +146,42 @@ struct RawStore {
 // (EpiVec) rather than per tile: a depthwise pixel retires a tile every ~9
 // multiply-adds, so rebuilding half a dozen set1s per tile would rival the
 // convolution work itself.
-struct EpiVec {
+//
+// A per-channel requant retires through its own instantiation (kChan): the
+// per-tensor one keeps its exact instruction sequence, and the per-channel
+// one resolves the flagged step once, at construction, into kChanRequant —
+// per-lane counts loaded from the plan's shift tables at the tile's first
+// channel, shifted with the variable-count vpsravd / vpsllvd.
+template <bool kChan>
+struct EpiVecT {
+  /// Op past the EpiStep opcodes: per-channel requant (kChan only).
+  static constexpr int kChanRequant = 5;
   struct Step {
     int op = 0;
     int shift = 0;
     __m256i halfm1, lo, hi, alpha;  ///< halfm1: requant rounding bias, half - 1
     __m128i cnt;
   };
-  Step steps[8];  // kMaxEpiSteps
+  Step steps[kMaxEpiSteps];
   int n = 0;
   const int32_t* bias32 = nullptr;
+  /// Epilogue::chan_rshift / chan_lshift / chan_halfm1 (kChan only).
+  const int32_t* rshift = nullptr;
+  const int32_t* lshift = nullptr;
+  const int32_t* halfm1 = nullptr;
 
-  explicit EpiVec(const Epilogue& e) : n(e.n_steps), bias32(e.bias32) {
+  explicit EpiVecT(const Epilogue& e) : n(e.n_steps), bias32(e.bias32) {
+    if constexpr (kChan) {
+      rshift = e.chan_rshift;
+      lshift = e.chan_lshift;
+      halfm1 = e.chan_halfm1;
+    }
     for (int s = 0; s < n; ++s) {
       const EpiStep& st = e.steps[s];
       Step& d = steps[s];
-      d.op = st.op;
+      d.op = kChan && st.op == 0 && st.per_channel ? kChanRequant : st.op;
       d.shift = st.shift;
-      switch (st.op) {
+      switch (d.op) {
         case 0:
           if (st.shift > 0) {
             d.halfm1 =
@@ -173,6 +192,7 @@ struct EpiVec {
           }
           [[fallthrough]];
         case 3:
+        case kChanRequant:
           d.lo = _mm256_set1_epi32(static_cast<int32_t>(st.lo));
           d.hi = _mm256_set1_epi32(static_cast<int32_t>(st.hi));
           break;
@@ -187,8 +207,8 @@ struct EpiVec {
   }
 
   /// `j0` is the channel of lane 0; bias lanes load from the plan's padded
-  /// int32 bias copy.
-  __m256i apply(__m256i v, int64_t j0) const {
+  /// int32 bias copy, per-channel shift lanes from its padded tables.
+  [[gnu::always_inline]] __m256i apply(__m256i v, int64_t j0) const {
     for (int s = 0; s < n; ++s) {
       const Step& st = steps[s];
       switch (st.op) {
@@ -224,16 +244,49 @@ struct EpiVec {
           v = _mm256_max_epi32(a, m);
           break;
         }
+        default:  // kChanRequant
+          if constexpr (kChan) {
+            // The requant above with per-lane counts. A lane with a right
+            // shift has lshift 0; a lane with a left shift (or none) has
+            // rshift 0 and halfm1 0, and min(rshift, 1) zeroes its qbit, so
+            // it passes the rounding step unchanged.
+            const __m256i rs =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rshift + j0));
+            const __m256i qbit = _mm256_and_si256(
+                _mm256_srav_epi32(v, rs), _mm256_min_epu32(rs, _mm256_set1_epi32(1)));
+            const __m256i hm =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(halfm1 + j0));
+            v = _mm256_srav_epi32(_mm256_add_epi32(_mm256_add_epi32(v, hm), qbit), rs);
+            v = _mm256_sllv_epi32(
+                v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lshift + j0)));
+            v = _mm256_min_epi32(_mm256_max_epi32(v, st.lo), st.hi);
+          }
+          break;
       }
     }
     return v;
   }
 };
+using EpiVec = EpiVecT<false>;
+using EpiVecChan = EpiVecT<true>;
+
+/// Call f(ev) with the prepared vector epilogue (precondition: e.vec32) —
+/// the per-channel instantiation when the plan supplied shift tables.
+template <class F>
+void with_epi_vec(const Epilogue& e, F&& f) {
+  if (e.chan_rshift) {
+    const EpiVecChan ev(e);
+    f(ev);
+  } else {
+    const EpiVec ev(e);
+    f(ev);
+  }
+}
 
 /// Store 8 post-epilogue lanes at flat output index `idx`, narrowed to the
 /// plan's width. The saturating packs are exact: the epilogue's final clamp
 /// interval fits the output width by construction.
-inline void epi_store_vec(const Epilogue& e, int64_t idx, __m256i v) {
+[[gnu::always_inline]] inline void epi_store_vec(const Epilogue& e, int64_t idx, __m256i v) {
   const __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
   switch (e.out_bytes) {
@@ -265,11 +318,17 @@ inline void epi_store_vec(const Epilogue& e, int64_t idx, __m256i v) {
 // per lane otherwise. Lanes at column >= N are packed-layout padding —
 // computed against zero B columns but never written (epi_store would index
 // bias and the output out of range).
+//
+// The retire chain (store16/store8 -> flush8 -> apply -> epi_store_vec) is
+// forced inline: it must compile into each GEMM body, and with two EpiVec
+// instantiations GCC's unit-growth limits otherwise outline it and pay a
+// call per 8-lane tile (measured ~3% of offline W8A8 throughput).
+template <class EV>
 struct EpiStore {
   const Epilogue* e;
-  const EpiVec* v;  ///< prepared vector steps; null when !e->vec32
+  const EV* v;  ///< prepared vector steps; null when !e->vec32
   int64_t N;
-  void flush8(int64_t i, int64_t j0, __m256i acc) const {
+  [[gnu::always_inline]] void flush8(int64_t i, int64_t j0, __m256i acc) const {
     const int64_t nvalid = std::min<int64_t>(8, N - j0);
     if (v) {
       const __m256i r = v->apply(acc, j0);
@@ -288,11 +347,14 @@ struct EpiStore {
       epi_store(*e, i * N + j0 + l, epi_apply(*e, t[l], j0 + l));
     }
   }
-  void store16(int64_t i, int64_t j0, __m256i acc0, __m256i acc1) const {
+  [[gnu::always_inline]] void store16(int64_t i, int64_t j0, __m256i acc0,
+                                      __m256i acc1) const {
     flush8(i, j0, acc0);
     flush8(i, j0 + 8, acc1);
   }
-  void store8(int64_t i, int64_t j0, __m256i acc) const { flush8(i, j0, acc); }
+  [[gnu::always_inline]] void store8(int64_t i, int64_t j0, __m256i acc) const {
+    flush8(i, j0, acc);
+  }
 };
 
 // Packed-B GEMM: B comes k-pair-interleaved as int16 (pack_b_pair16), so one
@@ -562,10 +624,11 @@ template <class Store>
 struct RowShift {
   const Store& inner;
   int64_t row0;
-  void store16(int64_t i, int64_t j0, __m256i acc0, __m256i acc1) const {
+  [[gnu::always_inline]] void store16(int64_t i, int64_t j0, __m256i acc0,
+                                      __m256i acc1) const {
     inner.store16(i + row0, j0, acc0, acc1);
   }
-  void store8(int64_t i, int64_t j0, __m256i acc) const {
+  [[gnu::always_inline]] void store8(int64_t i, int64_t j0, __m256i acc) const {
     inner.store8(i + row0, j0, acc);
   }
 };
@@ -838,6 +901,20 @@ void gemm_nib4_epi1_body(const AT* A, const uint8_t* Bn, int64_t M, int64_t N,
   });
 }
 
+/// Call f(store) with the fused retire policy for `e`: vector epilogue
+/// (per-tensor or per-channel instantiation) under vec32, else the scalar
+/// per-lane walk.
+template <class F>
+void with_epi_store(const Epilogue& e, int64_t N, F&& f) {
+  if (!e.vec32) {
+    f(EpiStore<EpiVec>{&e, nullptr, N});
+    return;
+  }
+  with_epi_vec(e, [&](const auto& ev) {
+    f(EpiStore<std::decay_t<decltype(ev)>>{&e, &ev, N});
+  });
+}
+
 // Non-template entry points matching the KernelSet signatures.
 void gemm_s8p16_avx2(const int8_t* A, const int16_t* Bp, int32_t* C, int64_t M,
                      int64_t N, int64_t K) {
@@ -851,70 +928,50 @@ void gemm_s16p16_avx2(const int16_t* A, const int16_t* Bp, int32_t* C, int64_t M
 
 void gemm_s8p16_epi_avx2(const int8_t* A, const int16_t* Bp, int64_t M, int64_t N,
                          int64_t K, const Epilogue& e) {
-  const auto run = [&](const EpiStore& st) {
+  with_epi_store(e, N, [&](const auto& st) {
     const int64_t m2 = M - (M % 2);
     if (m2 > 0) gemm_pair16_epi2_body(A, Bp, m2, N, K, st);
     if (m2 < M) {
-      gemm_s8p16_body(A + m2 * K, Bp, M - m2, N, K, RowShift<EpiStore>{st, m2});
+      gemm_s8p16_body(A + m2 * K, Bp, M - m2, N, K,
+                      RowShift<std::decay_t<decltype(st)>>{st, m2});
     }
-  };
-  if (e.vec32) {
-    const EpiVec ev(e);
-    run(EpiStore{&e, &ev, N});
-  } else {
-    run(EpiStore{&e, nullptr, N});
-  }
+  });
 }
 
 void gemm_s16p16_epi_avx2(const int16_t* A, const int16_t* Bp, int64_t M, int64_t N,
                           int64_t K, const Epilogue& e) {
-  const auto run = [&](const EpiStore& st) {
+  with_epi_store(e, N, [&](const auto& st) {
     const int64_t m2 = M - (M % 2);
     if (m2 > 0) gemm_pair16_epi2_body(A, Bp, m2, N, K, st);
     if (m2 < M) {
-      gemm_s16p16_body(A + m2 * K, Bp, M - m2, N, K, RowShift<EpiStore>{st, m2});
+      gemm_s16p16_body(A + m2 * K, Bp, M - m2, N, K,
+                       RowShift<std::decay_t<decltype(st)>>{st, m2});
     }
-  };
-  if (e.vec32) {
-    const EpiVec ev(e);
-    run(EpiStore{&e, &ev, N});
-  } else {
-    run(EpiStore{&e, nullptr, N});
-  }
+  });
 }
 
 void gemm_s8n4_epi_avx2(const int8_t* A, const uint8_t* Bn, int64_t M, int64_t N,
                         int64_t K, const Epilogue& e) {
-  const auto run = [&](const EpiStore& st) {
+  with_epi_store(e, N, [&](const auto& st) {
     const int64_t m2 = M - (M % 2);
     if (m2 > 0) gemm_nib4_epi2_body(A, Bn, m2, N, K, st);
     if (m2 < M) {
-      gemm_nib4_epi1_body(A + m2 * K, Bn, M - m2, N, K, RowShift<EpiStore>{st, m2});
+      gemm_nib4_epi1_body(A + m2 * K, Bn, M - m2, N, K,
+                          RowShift<std::decay_t<decltype(st)>>{st, m2});
     }
-  };
-  if (e.vec32) {
-    const EpiVec ev(e);
-    run(EpiStore{&e, &ev, N});
-  } else {
-    run(EpiStore{&e, nullptr, N});
-  }
+  });
 }
 
 void gemm_s16n4_epi_avx2(const int16_t* A, const uint8_t* Bn, int64_t M, int64_t N,
                          int64_t K, const Epilogue& e) {
-  const auto run = [&](const EpiStore& st) {
+  with_epi_store(e, N, [&](const auto& st) {
     const int64_t m2 = M - (M % 2);
     if (m2 > 0) gemm_nib4_epi2_body(A, Bn, m2, N, K, st);
     if (m2 < M) {
-      gemm_nib4_epi1_body(A + m2 * K, Bn, M - m2, N, K, RowShift<EpiStore>{st, m2});
+      gemm_nib4_epi1_body(A + m2 * K, Bn, M - m2, N, K,
+                          RowShift<std::decay_t<decltype(st)>>{st, m2});
     }
-  };
-  if (e.vec32) {
-    const EpiVec ev(e);
-    run(EpiStore{&e, &ev, N});
-  } else {
-    run(EpiStore{&e, nullptr, N});
-  }
+  });
 }
 
 // Fused depthwise: channels in chunks of up to 32 (four int32 vectors), taps
@@ -940,14 +997,9 @@ inline void dw_scalar_fallback(const int16_t* x, const int8_t* w, const Depthwis
   scalar_kernels().depthwise_s16_epi(x, w, a, e);
 }
 
-template <typename XT>
-void depthwise_epi_avx2(const XT* x, const int8_t* w, const DepthwiseArgs& a,
-                        const Epilogue& e) {
-  if (!e.vec32) {
-    dw_scalar_fallback(x, w, a, e);
-    return;
-  }
-  const EpiVec ev(e);
+template <typename XT, class EV>
+void depthwise_epi_avx2_vec(const XT* x, const int8_t* w, const DepthwiseArgs& a,
+                            const Epilogue& e, const EV& ev) {
   const Conv2dGeom& g = a.geom;
   const int64_t rows = a.batch * a.oh;
   const int64_t c8 = a.c - (a.c % 8);
@@ -1003,6 +1055,16 @@ void depthwise_epi_avx2(const XT* x, const int8_t* w, const DepthwiseArgs& a,
   });
 }
 
+template <typename XT>
+void depthwise_epi_avx2(const XT* x, const int8_t* w, const DepthwiseArgs& a,
+                        const Epilogue& e) {
+  if (!e.vec32) {
+    dw_scalar_fallback(x, w, a, e);
+    return;
+  }
+  with_epi_vec(e, [&](const auto& ev) { depthwise_epi_avx2_vec(x, w, a, e, ev); });
+}
+
 void depthwise_s8_epi_avx2(const int8_t* x, const int8_t* w, const DepthwiseArgs& a,
                            const Epilogue& e) {
   depthwise_epi_avx2(x, w, a, e);
@@ -1035,13 +1097,9 @@ inline __m256i blk_pixel16(const int8_t* p) {
           reinterpret_cast<const __m128i*>(p)))));
 }
 
-void conv_s8blk_epi_avx2(const int8_t* x, const int16_t* wblk, const ConvBlkArgs& a,
-                         const Epilogue& e) {
-  if (!e.vec32) {
-    scalar_kernels().conv_s8blk_epi(x, wblk, a, e);
-    return;
-  }
-  const EpiVec ev(e);
+template <class EV>
+void conv_s8blk_epi_avx2_vec(const int8_t* x, const int16_t* wblk, const ConvBlkArgs& a,
+                             const Epilogue& e, const EV& ev) {
   const Conv2dGeom& g = a.geom;
   const int64_t CBi = blocked_c(a.cin) / kChanBlock;
   const int64_t PP = blocked_c(a.cin) / 2;
@@ -1123,13 +1181,19 @@ void conv_s8blk_epi_avx2(const int8_t* x, const int16_t* wblk, const ConvBlkArgs
   });
 }
 
-void depthwise_s8blk_epi_avx2(const int8_t* x, const int8_t* wblk,
-                              const DepthwiseArgs& a, const Epilogue& e) {
+void conv_s8blk_epi_avx2(const int8_t* x, const int16_t* wblk, const ConvBlkArgs& a,
+                         const Epilogue& e) {
   if (!e.vec32) {
-    scalar_kernels().depthwise_s8blk_epi(x, wblk, a, e);
+    scalar_kernels().conv_s8blk_epi(x, wblk, a, e);
     return;
   }
-  const EpiVec ev(e);
+  with_epi_vec(e, [&](const auto& ev) { conv_s8blk_epi_avx2_vec(x, wblk, a, e, ev); });
+}
+
+template <class EV>
+void depthwise_s8blk_epi_avx2_vec(const int8_t* x, const int8_t* wblk,
+                                  const DepthwiseArgs& a, const Epilogue& e,
+                                  const EV& ev) {
   const Conv2dGeom& g = a.geom;
   const int64_t CB = blocked_c(a.c) / kChanBlock;
   const int64_t T = g.kh * g.kw;
@@ -1163,6 +1227,15 @@ void depthwise_s8blk_epi_avx2(const int8_t* x, const int8_t* wblk,
       }
     }
   });
+}
+
+void depthwise_s8blk_epi_avx2(const int8_t* x, const int8_t* wblk,
+                              const DepthwiseArgs& a, const Epilogue& e) {
+  if (!e.vec32) {
+    scalar_kernels().depthwise_s8blk_epi(x, wblk, a, e);
+    return;
+  }
+  with_epi_vec(e, [&](const auto& ev) { depthwise_s8blk_epi_avx2_vec(x, wblk, a, e, ev); });
 }
 
 }  // namespace

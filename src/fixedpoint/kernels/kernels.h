@@ -97,6 +97,14 @@ std::vector<int8_t> pack_dw_wblk8(const int8_t* w, int64_t kh, int64_t kw, int64
 // instructions one arena pass at a time, because each step IS that
 // instruction's per-lane function (shared fp::rescale / fp::saturate).
 
+/// Longest epilogue step list a fused instruction may carry. The longest real
+/// chain (darknet: requant + bias + requant + leaky + requant) is 5 steps; 8
+/// leaves headroom without letting a degenerate graph build unbounded step
+/// lists. The fusion pass stops absorbing at this length, the plan rejects
+/// longer (deserialized) lists, and vector kernels size their prepared step
+/// arrays by it.
+constexpr int kMaxEpiSteps = 8;
+
 /// One lowered epilogue step. `op` matches FpInstr::EpiOp.
 struct EpiStep {
   int op = 0;
@@ -105,7 +113,9 @@ struct EpiStep {
   int64_t alpha_q = 0;    ///< leaky multiplier
   int lift = 0;           ///< leaky: -alpha_exponent
   /// Requant of a per-channel-scaled matmul: the shift varies per output
-  /// channel — read Epilogue::chan_shift[channel] instead of `shift`.
+  /// channel — read Epilogue::chan_shift[channel] (scalar walk) or the
+  /// chan_rshift / chan_lshift / chan_halfm1 lane tables (vec32) instead of
+  /// `shift`.
   bool per_channel = false;
 };
 
@@ -120,16 +130,29 @@ struct Epilogue {
   void* y = nullptr;
   int out_bytes = 4;  ///< 1 | 2 | 4 | 8
   /// True when the plan proved every intermediate step value fits int32
-  /// (and every shift stays under 31): SIMD kernels may then run the steps
-  /// in 32-bit lanes — bit-identical to epi_apply because the rounding
-  /// adjustment never widens past the value domain. When set and a bias
-  /// step exists, `bias32` points at an int32 copy of the bias with 8 lanes
-  /// of zero slack for unmasked vector loads.
+  /// (and every shift stays under 31 — for a per-channel requant, in its
+  /// worst channel): SIMD kernels may then run the steps in 32-bit lanes —
+  /// bit-identical to epi_apply because the rounding adjustment never widens
+  /// past the value domain. When set and a bias step exists, `bias32` points
+  /// at an int32 copy of the bias with 8 lanes of zero slack for unmasked
+  /// vector loads.
   bool vec32 = false;
   const int32_t* bias32 = nullptr;
   /// Per-output-channel requant shifts (plan-resolved, already net of the
   /// channel's exponent delta); non-null iff some step has `per_channel`.
   const int32_t* chan_shift = nullptr;
+  /// The same per-channel requant in vector-ready form, set when `vec32` and
+  /// some step has `per_channel`: lane c shifts right by chan_rshift[c] after
+  /// adding chan_halfm1[c] (= 2^(s-1) - 1) plus its floor-quotient LSB, then
+  /// left by chan_lshift[c]. A channel with shift s > 0 has rshift s and
+  /// lshift 0; s < 0 has lshift -s and rshift 0, halfm1 0 (no rounding, a
+  /// zero qbit); s == 0 is all zeros. Each table covers packed_n(C) ==
+  /// blocked_c(C) lanes for C channels, so 8-lane loads at any
+  /// channel-block start stay in bounds; padded lanes hold shift 0 and
+  /// retire epilogue(0) exactly as per-tensor padding does.
+  const int32_t* chan_rshift = nullptr;
+  const int32_t* chan_lshift = nullptr;
+  const int32_t* chan_halfm1 = nullptr;
 };
 
 /// Run the epilogue on one int64 accumulator lane. All arithmetic is int64 —

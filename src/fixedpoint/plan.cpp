@@ -154,20 +154,45 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
     return algos && idx < algos->size() ? (*algos)[idx] : fpk::Algo::kAuto;
   };
 
-  // ---- Per-channel structural validation -------------------------------
-  // chan_data marks a matmul whose output lanes sit at per-channel
-  // exponents (base + delta[c]). The correction must retire through a
-  // requant before anything else interprets the value: fused kinds need a
-  // leading kRequant epilogue step, standalone matmuls may only feed
-  // kRequant instructions carrying the same channel table. Runs here (not
-  // at compile) so deserialized programs get the same guarantee.
+  // ---- Structural validation -------------------------------------------
+  // Runs here (not at compile) so deserialized programs — load(), serving
+  // hot-swap, the admin plane's kSwapFile — get the same guarantees as
+  // compiled ones: everything the kernels later index without bounds checks
+  // is checked once, as a typed ProgramFormatError.
+  //  * A fused epilogue holds at most fpk::kMaxEpiSteps steps (the vector
+  //    kernels prepare that many).
+  //  * chan_data marks a matmul whose output lanes sit at per-channel
+  //    exponents (base + delta[c]), one entry per output channel. The
+  //    correction must retire through a requant before anything else
+  //    interprets the value: fused kinds need a leading kRequant epilogue
+  //    step, standalone matmuls may only feed kRequant instructions carrying
+  //    the same channel table.
   for (size_t idx = 0; idx < instrs.size(); ++idx) {
     const FpInstr& in = instrs[idx];
+    if (is_fused_kind(in.kind) && epi_step_count(in) > fpk::kMaxEpiSteps) {
+      throw ProgramFormatError("fp plan: fused epilogue of " +
+                               std::to_string(epi_step_count(in)) + " steps exceeds " +
+                               std::to_string(fpk::kMaxEpiSteps));
+    }
+    if (is_matmul_kind(in.kind)) {
+      const FpInstr::Kind base = base_kind_of(in.kind);
+      const size_t rank = base == FpInstr::Kind::kDense       ? 2
+                          : base == FpInstr::Kind::kDepthwise ? 3
+                                                              : 4;
+      if (in.const_shape.size() != rank) {
+        throw ProgramFormatError("fp plan: matmul weight shape has the wrong rank");
+      }
+    }
     if (in.chan_data.empty() || !is_matmul_kind(in.kind)) continue;
+    if (static_cast<int64_t>(in.chan_data.size()) != weight_cols(in)) {
+      throw ProgramFormatError("fp plan: per-channel table has " +
+                               std::to_string(in.chan_data.size()) + " entries for " +
+                               std::to_string(weight_cols(in)) + " output channels");
+    }
     if (is_fused_kind(in.kind)) {
       if (epi_step_count(in) == 0 ||
           static_cast<FpInstr::EpiOp>(epi_step(in, 0).op) != FpInstr::EpiOp::kRequant) {
-        throw std::runtime_error(
+        throw ProgramFormatError(
             "fp plan: per-channel fused matmul must open its epilogue with a requant");
       }
       continue;
@@ -178,7 +203,7 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
         if (r != in.output) continue;
         if (rd.kind != FpInstr::Kind::kRequant ||
             rd.chan_data.size() != in.chan_data.size()) {
-          throw std::runtime_error(
+          throw ProgramFormatError(
               "fp plan: per-channel matmul output may only feed a per-channel requant");
         }
       }
@@ -510,10 +535,7 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
         const auto fits32 = [&](int64_t lo, int64_t hi) {
           return lo >= kI32Lo && hi <= kI32Hi;
         };
-        // Per-channel epilogues always retire through the scalar epi_apply
-        // (which indexes chan_shift); the 32-bit vector path only knows one
-        // shift per step.
-        bool vec32 = c.acc_ok32 && in.chan_data.empty();
+        bool vec32 = c.acc_ok32;
         Interval cur{sat_mul(acc_bound, -1), acc_bound};
         int64_t bmin = 0, bmax = 0;
         if (!in.bias_data.empty()) {
@@ -524,21 +546,35 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
         }
         for (const fpk::EpiStep& es : c.epi) {
           switch (static_cast<FpInstr::EpiOp>(es.op)) {
-            case FpInstr::EpiOp::kRequant:
-              vec32 = vec32 && es.shift > -31 && es.shift < 31;
-              if (es.shift < 0) {
-                vec32 = vec32 && fits32(sat_shl(cur.lo, -es.shift),
-                                        sat_shl(cur.hi, -es.shift));
-              } else if (es.shift > 0) {
+            case FpInstr::EpiOp::kRequant: {
+              // A per-channel requant shifts each lane by its own channel's
+              // distance; the proof takes the worst channel — the largest
+              // left shift and the largest right shift (largest half). The
+              // accumulator interval is already the max over channels.
+              int64_t max_left = 0, max_right = 0;
+              if (es.per_channel) {
+                for (const int64_t sh : c.chan_shifts) {
+                  max_left = std::max(max_left, -sh);
+                  max_right = std::max(max_right, sh);
+                }
+              } else {
+                max_left = std::max<int64_t>(0, -int64_t{es.shift});
+                max_right = std::max<int64_t>(0, es.shift);
+              }
+              vec32 = vec32 && max_left < 31 && max_right < 31;
+              if (vec32 && max_left > 0) {
+                vec32 = fits32(sat_shl(cur.lo, static_cast<int>(max_left)),
+                               sat_shl(cur.hi, static_cast<int>(max_left)));
+              }
+              if (vec32 && max_right > 0) {
                 // The vector kernels round via v + (half - 1 + floor-LSB),
                 // then one arithmetic shift — the sum needs v + half of
                 // int32 headroom.
-                vec32 = vec32 &&
-                        fits32(cur.lo, sat_add(cur.hi, int64_t{1}
-                                                           << (es.shift - 1)));
+                vec32 = fits32(cur.lo, sat_add(cur.hi, int64_t{1} << (max_right - 1)));
               }
               cur = {es.lo, es.hi};
               break;
+            }
             case FpInstr::EpiOp::kBias:
               vec32 = vec32 && fits32(bmin, bmax);
               cur = {sat_add(cur.lo, bmin), sat_add(cur.hi, bmax)};
@@ -570,6 +606,24 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
         if (vec32 && !in.bias_data.empty()) {
           c.bias32.assign(in.bias_data.begin(), in.bias_data.end());
           c.bias32.resize(in.bias_data.size() + 8, 0);  // vector-load slack
+        }
+        if (vec32 && !c.chan_shifts.empty()) {
+          // Split each channel's signed distance into the per-lane operands
+          // of the vector requant; padded lanes stay shift 0.
+          const size_t lanes = static_cast<size_t>(
+              fpk::packed_n(static_cast<int64_t>(c.chan_shifts.size())));
+          c.chan_rshift.assign(lanes, 0);
+          c.chan_lshift.assign(lanes, 0);
+          c.chan_halfm1.assign(lanes, 0);
+          for (size_t ci = 0; ci < c.chan_shifts.size(); ++ci) {
+            const int32_t sh = c.chan_shifts[ci];
+            if (sh > 0) {
+              c.chan_rshift[ci] = sh;
+              c.chan_halfm1[ci] = static_cast<int32_t>((int64_t{1} << (sh - 1)) - 1);
+            } else {
+              c.chan_lshift[ci] = -sh;
+            }
+          }
         }
       }
     }

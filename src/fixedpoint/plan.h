@@ -62,6 +62,13 @@ struct ExecPlan {
     /// int32 copy of the absorbed bias, padded with 8 zero lanes for
     /// unmasked vector loads. Filled only when `epi_vec32`.
     std::vector<int32_t> bias32;
+    /// Vector form of `chan_shifts` for a per-channel fused epilogue, filled
+    /// only when `epi_vec32`: per-lane right-shift count, left-shift count
+    /// and rounding bias half - 1 (fpk::Epilogue::chan_rshift / chan_lshift
+    /// / chan_halfm1). Each is padded to packed_n(C) lanes, which is also
+    /// blocked_c(C), so GEMM column groups and NC8HW8 channel blocks load
+    /// whole vectors; padded lanes are shift 0.
+    std::vector<int32_t> chan_rshift, chan_lshift, chan_halfm1;
     /// pack_conv_wblk16 copy of an int8 conv weight, filled when this
     /// instruction's algo is kBlocked.
     std::vector<int16_t> b_blk16;
@@ -74,9 +81,10 @@ struct ExecPlan {
     std::vector<uint8_t> b_nib4;
     /// Per-output-channel requant shifts, resolved against the static
     /// exponent replay. On a fused matmul: the first epilogue requant's
-    /// per-lane `to - from_c` (fpk::Epilogue::chan_shift). On a standalone
-    /// kRequant fed by a per-channel matmul: the same table for the
-    /// executor's per-channel requant path. Empty in the per-tensor case.
+    /// per-lane `to - from_c` (fpk::Epilogue::chan_shift, the scalar walk's
+    /// table; see chan_rshift for the vector one). On a standalone kRequant
+    /// fed by a per-channel matmul: the same table for the executor's
+    /// per-channel requant path. Empty in the per-tensor case.
     std::vector<int32_t> chan_shifts;
   };
 

@@ -379,8 +379,9 @@ TEST(TuneExplain, ReportsAlgoPerInstruction) {
   const auto rows = autotune::explain_kernels(prog);
   ASSERT_EQ(rows.size(), prog.plan().instrs.empty() ? prog.instructions().size()
                                                     : prog.plan().instrs.size());
-  int tuned = 0, blocked = 0;
-  for (const auto& r : rows) {
+  int tuned = 0, blocked = 0, fused = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto& r = rows[i];
     EXPECT_FALSE(r.kind.empty());
     if (r.tuned) {
       ++tuned;
@@ -388,9 +389,16 @@ TEST(TuneExplain, ReportsAlgoPerInstruction) {
       EXPECT_FALSE(r.shape.empty());
     }
     if (r.algo == "blocked") ++blocked;
+    // The epilogue column mirrors the plan's vec32 proof on fused rows; the
+    // generic int64 fallback always retires scalar.
+    const bool is_fused = !r.algo.empty();
+    fused += is_fused;
+    const bool vec = prog.plan().consts[i].epi_vec32 && r.algo != "generic";
+    EXPECT_EQ(r.epilogue, !is_fused ? "-" : vec ? "vec32" : "scalar") << r.name;
   }
   EXPECT_GT(tuned, 0);
   EXPECT_GT(blocked, 0);
+  EXPECT_GT(fused, 0);
 }
 
 TEST(TuneMetrics, CountersAndGaugesRecorded) {

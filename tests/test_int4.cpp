@@ -1,7 +1,8 @@
 // INT4 (4/8) sub-byte path tests: nibble pack/unpack round-trips at every
 // length parity, bit-exactness of the forced Algo::kGemmS4 candidates against
 // the int64 reference over the whole zoo (per-tensor and per-channel, 1 and 4
-// threads, both kernel sets), serializer v3 round-trip + truncation
+// threads, both kernel sets), every candidate algo forced on W8A8 and W4A8
+// per-channel zoo programs, serializer v3 round-trip + truncation
 // rejection + v2-compat-in-a-v3-build, the QuantUse bit-width boundaries,
 // and a compile-and-run pass over the deprecated pre-QuantSpec wrappers.
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "fixedpoint/autotune.h"
 #include "fixedpoint/engine.h"
 #include "fixedpoint/kernels/kernels.h"
+#include "fixedpoint/plan.h"
 #include "graph_opt/quantize_pass.h"
 #include "graph_opt/transforms.h"
 #include "models/zoo.h"
@@ -209,6 +211,63 @@ TEST(S4Engine, PerChannelDefaultDispatchMatchesReference) {
   }
   set_num_threads(0);
 }
+
+// Per-channel programs under every candidate algo: force each of
+// gemm-packed, gemm-raw, gemm-s4, dw-direct and blocked over W8A8-pc and
+// W4A8-pc zoo programs; both kernel sets at 1 and 4 threads must match the
+// int64 reference lane for lane. Every fused epilogue must have its int32
+// vector proof (the per-channel shift tables retire in SIMD lanes), and the
+// NC8HW8 blocked kernels must be selectable for per-channel instructions.
+class PerChannelForcedAlgo : public ::testing::TestWithParam<ModelKind> {};
+
+TEST_P(PerChannelForcedAlgo, EveryAlgoMatchesReference) {
+  for (const int wbits : {8, 4}) {
+    PrecisionPolicy pol = w4a8(true);
+    pol.wbits = wbits;
+    Prepared p = prepare(GetParam(), pol);
+    FixedPointProgram prog = compile_fixed_point(p.m.graph, p.m.input, p.qres.quantized_output);
+    const std::string tag = model_name(GetParam()) + " W" + std::to_string(wbits) + "A8-pc";
+    int fused = 0, vec32 = 0, chan = 0;
+    for (size_t i = 0; i < prog.instructions().size(); ++i) {
+      const FpInstr& in = prog.instructions()[i];
+      if (!is_fused_kind(in.kind)) continue;
+      ++fused;
+      vec32 += prog.plan().consts[i].epi_vec32 ? 1 : 0;
+      chan += in.chan_data.empty() ? 0 : 1;
+    }
+    EXPECT_GT(chan, 0) << tag;
+    EXPECT_EQ(vec32, fused) << tag << ": fused epilogues without the int32 vector proof";
+    Rng rng(80);
+    const Tensor probe = rng.normal_tensor({3, 16, 16, 3}, 0.2f, 1.2f);
+    const IntTensor ref = prog.run_raw_reference(probe);
+    for (const fpk::Algo algo : {fpk::Algo::kGemmPacked, fpk::Algo::kGemmRaw,
+                                 fpk::Algo::kGemmS4, fpk::Algo::kDwDirect,
+                                 fpk::Algo::kBlocked}) {
+      TuneScope scope(1, static_cast<int>(algo));
+      prog.refinalize();
+      if (algo == fpk::Algo::kBlocked) {
+        ASSERT_NE(prog.tuning(), nullptr) << tag;
+        EXPECT_GT(prog.tuning()->blocked_instrs, 0) << tag;
+      }
+      for (const fpk::KernelSet* ks : {&fpk::scalar_kernels(), fpk::avx2_kernels()}) {
+        if (!ks) continue;
+        fpk::set_active_kernels(ks);
+        for (int threads : {1, 4}) {
+          set_num_threads(threads);
+          expect_raw_equal(prog.run_raw(probe), ref,
+                           tag + " forced " + fpk::algo_name(algo) + " " + ks->name + " @" +
+                               std::to_string(threads));
+        }
+      }
+      fpk::set_active_kernels(nullptr);
+      set_num_threads(0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, PerChannelForcedAlgo,
+                         ::testing::ValuesIn(all_model_kinds()),
+                         [](const auto& info) { return model_name(info.param); });
 
 // ---- Serializer v3 ---------------------------------------------------------
 

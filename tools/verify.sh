@@ -5,6 +5,7 @@
 # The engine tests (typed executor, kernels, plan, rescale, bit-exactness)
 # additionally run from a Debug build, and the engine bench smoke-runs at the
 # end as a bit-exactness gate and as the tuned-may-not-lose-to-static gate.
+# The repo benchmark's smoke run (bench/suite/run.sh --smoke) closes it.
 #
 # Usage:
 #   tools/verify.sh [build-dir]               # default build dir: build
@@ -32,10 +33,10 @@ cmake --build "$BUILD_DIR"
 DEBUG_DIR="${BUILD_DIR}-debug"
 cmake -B "$DEBUG_DIR" -S . -G Ninja -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$DEBUG_DIR" --target test_engine_exec test_engine_units test_fixedpoint \
-  test_fuse
+  test_fuse test_epilogue
 echo "==== engine + graph-compiler tests (Debug) ===="
 ctest --test-dir "$DEBUG_DIR" \
-  -R 'TypedEngine|EngineUnit|Rescale|FixedPoint|BitExact|Fuse|Scheduler' \
+  -R 'TypedEngine|EngineUnit|Rescale|FixedPoint|BitExact|Fuse|Scheduler|ChanRequant|PlanValidation' \
   --output-on-failure -j "$(nproc)"
 
 # Fail fast on the graph compiler: fusion bit-exactness over the whole zoo,
@@ -103,14 +104,17 @@ for threads in 1 4; do
     --output-on-failure -j "$(nproc)"
 done
 
-# Fail fast on the INT4 sub-byte path: nibble pack/unpack parities, the
-# forced Algo::kGemmS4 candidates' bit-exactness over the zoo (per-tensor and
-# per-channel), serializer v3, the QuantUse bit-width boundaries, and the
-# deprecated pre-QuantSpec wrappers, at both pool sizes.
+# Fail fast on the INT4 sub-byte and per-channel paths: nibble pack/unpack
+# parities, the forced Algo::kGemmS4 candidates' bit-exactness over the zoo
+# (per-tensor and per-channel), every candidate algo forced on per-channel
+# zoo programs, the per-channel vector requant against the scalar kernels,
+# the plan's per-channel proof and structural validation, serializer v3, the
+# QuantUse bit-width boundaries, and the deprecated pre-QuantSpec wrappers,
+# at both pool sizes.
 for threads in 1 4; do
-  echo "==== int4 tests with TQT_NUM_THREADS=$threads ===="
+  echo "==== int4 / per-channel tests with TQT_NUM_THREADS=$threads ===="
   TQT_NUM_THREADS=$threads ctest --test-dir "$BUILD_DIR" \
-    -R 'Nib4|S4Engine|SerializeV3|QuantUseBoundaries|DeprecatedWrappers' \
+    -R 'Nib4|S4Engine|PerChannelForcedAlgo|ChanRequant|PlanValidation|SerializeV3|QuantUseBoundaries|DeprecatedWrappers' \
     --output-on-failure -j "$(nproc)"
 done
 
@@ -231,6 +235,16 @@ if [[ -z "${TQT_SANITIZE:-}" ]]; then
   grep -q 'wrote .* instructions' "$BUILD_DIR/verify_w4_out.txt"
   "$BUILD_DIR/tools/tqt_cli" run mini_vgg -i "$BUILD_DIR/verify_w4.tqtp" --wbits 4 \
     | grep -q 'top-1'
+  # Per-channel epilogues retire in SIMD lanes: the explain table's epilogue
+  # column must read vec32 on every fused row.
+  "$BUILD_DIR/tools/tqt_cli" run mini_vgg -i "$BUILD_DIR/verify_w4.tqtp" --wbits 4 \
+    --explain-kernels > "$BUILD_DIR/verify_w4_explain.txt"
+  grep -q '_fused .* vec32 ' "$BUILD_DIR/verify_w4_explain.txt"
+  if grep -q '_fused .* scalar ' "$BUILD_DIR/verify_w4_explain.txt"; then
+    echo "FAIL: a fused W4A8 per-channel instruction retires a scalar epilogue"
+    grep '_fused .* scalar ' "$BUILD_DIR/verify_w4_explain.txt"
+    exit 1
+  fi
   rm -f "$BUILD_DIR/verify_w4.tqtp.tqt.tune"
   "$BUILD_DIR/tools/tqt_cli" tune mini_vgg -i "$BUILD_DIR/verify_w4.tqtp" \
     > "$BUILD_DIR/verify_w4_tune.txt"
@@ -322,6 +336,13 @@ CFG
   kill -TERM "$CALIB_PID"
   wait "$CALIB_PID"
   grep -q '"calib.promotions"' "$BUILD_DIR/verify_calib_metrics.json"
+
+  # The repo benchmark builds its own copy of src/ (bench/suite, see its
+  # README): a src/ change that breaks it — a renamed entry point, a failed
+  # output check, a metric BENCHMARK.json names but the run no longer
+  # prints — fails verification here, not in the next benchmark run.
+  echo "==== bench/suite/run.sh --smoke ===="
+  bash bench/suite/run.sh --smoke
 fi
 
 echo "verify.sh: all test passes completed"
